@@ -72,14 +72,14 @@
 //
 // Cluster size n is a first-class scaling axis. The ETOB layer has a gossip
 // dissemination mode (etob.GossipFactory, gossip.Options, shared peer
-// sampling in internal/gossip): a flush sends op deltas to a seeded
+// sampling in internal/gossip): a broadcast sends its op delta to a seeded
 // ceil(log2 n)+1 peer sample instead of all-to-all, rumors age out after
 // ceil(log2 n) hops, and a digest-based anti-entropy rotation repairs the
-// tail — eventual delivery is all the eventual specs need, and with gossip
-// off every path is bit-identical to the historical one (golden-pinned).
-// The EC layer disseminates promote values the same way (ec.GossipDrivenFactory,
-// origin-stamped so values absorb by their proposer, not their carrier), and
-// gossip envelopes ride internal/retransmit's at-least-once layer unchanged.
+// tail — eventual delivery is all the eventual specs need, and every other
+// constructor leaves the historical all-to-all path untouched
+// (golden-pinned). Gossip envelopes ride internal/retransmit's
+// at-least-once layer unchanged. The EC layer is Algorithm 4 as written:
+// one promote broadcast per proposal.
 // Underneath, the kernel applies broadcasts as one batched heap entry per
 // send expanded at pop instead of n immediate inserts, fd.Cached bounds memo
 // state with a per-process LRU over segments, and the CT/Paxos/ABD quorum
@@ -90,8 +90,8 @@
 // coalesces k pending ops into one update(CG) broadcast (flush on depth k or
 // a linger deadline; k=1 is bit-for-bit the historical path) with an optional
 // AIMD controller that grows the window under queue pressure and halves it
-// when linger-forced flushes run light, and internal/ec carries bursts of
-// promote messages in one envelope the same way. internal/loadgen is the
+// when linger-forced flushes run light (etob.BatchedFactory, or
+// core.StackOptions.Batch for a whole replica stack). internal/loadgen is the
 // open-loop harness that measures what batching buys: seeded Poisson arrivals
 // over many client sessions into the kernel (or a live cluster), recording
 // submit→visible-at-every-correct-process and submit→order-stable latency

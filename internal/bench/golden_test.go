@@ -53,11 +53,11 @@ func TestGoldenQuickSuite(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickSuiteE13E14 completes the E1–E14 gossip-off pin: E13/E14
-// quick tables against the snapshot committed with the gossip dissemination
-// mode. Gossip is strictly opt-in (zero-value gossip.Options), so the new
-// dissemination layer, the digest anti-entropy, and the En scaling sweep may
-// not move one cell of any existing experiment.
+// TestGoldenQuickSuiteE13E14 completes the E1–E14 pin: E13/E14 quick tables
+// against the snapshot committed with the gossip dissemination mode. Only
+// etob.GossipFactory turns gossip on, so the dissemination layer, the digest
+// anti-entropy, and the En scaling sweep may not move one cell of any
+// existing experiment.
 func TestGoldenQuickSuiteE13E14(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_quick_E13_E14.txt"))
 	if err != nil {

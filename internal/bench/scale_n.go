@@ -118,14 +118,14 @@ func ScaleN(ns []int, quick bool, seed int64) []ScalingNResult {
 		// package default of 4 is tuned for fast repair in short tests; at
 		// bench horizons it would spend most of its digests on an already
 		// converged cluster and bury the rumor traffic being measured.
-		gopts := gossip.Options{Enable: true, Seed: seed, AntiEntropyEvery: 16}
+		gopts := gossip.Options{Seed: seed, AntiEntropyEvery: 16}
 		modes := []struct {
 			name    string
 			factory model.AutomatonFactory
 			fanout  int
 		}{
 			{"all-to-all", etob.Factory(), n - 1},
-			{"gossip", etob.GossipFactory(etob.BatchOptions{}, gopts), gossip.Log2Ceil(n) + 1},
+			{"gossip", etob.GossipFactory(gopts), gossip.Fanout(n)},
 		}
 		for _, mode := range modes {
 			fp := model.NewFailurePattern(n)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/etob"
 	"repro/internal/fd"
-	"repro/internal/gossip"
 	"repro/internal/model"
 	"repro/internal/retransmit"
 	"repro/internal/runtime"
@@ -120,23 +119,6 @@ func (s OmegaSpec) Build(fp *model.FailurePattern) *fd.Omega {
 	}
 }
 
-// ReplicaStack builds the full automaton stack of ONE service replica for a
-// consistency level: the broadcast protocol (ETOB for Eventual, a Paxos log
-// for the strong variants) driving the replicated machine (nil = KV store),
-// optionally wrapped in the retransmission layer (nil rt = bare). This is the
-// single definition of "a replica" shared by every way of running one — the
-// deterministic kernel (NewSimService), the in-process live cluster
-// (NewLiveService), and the deployable node (internal/node) all feed the SAME
-// factory to their runtime, which is what makes cross-runtime conformance
-// (runtime.Replay) meaningful.
-//
-// Note the stack does not choose the failure detector: StrongSigma replicas
-// additionally require a Σ oracle next to Ω, which only the simulator can
-// provide (see NewLiveService).
-func ReplicaStack(c Consistency, machine smr.MachineFactory, rt *retransmit.Options) model.AutomatonFactory {
-	return ReplicaStackWith(c, StackOptions{Machine: machine, Retransmit: rt})
-}
-
 // StackOptions carries the optional layers of a replica stack (see
 // ReplicaStackWith).
 type StackOptions struct {
@@ -149,16 +131,23 @@ type StackOptions struct {
 	// zero value — batching disabled — keeps the stack bit-for-bit identical
 	// to the historical one.
 	Batch etob.BatchOptions
-	// Gossip switches ETOB to epidemic dissemination: each flush goes to a
-	// seeded O(log n) peer sample instead of n−1 sends, with digest-based
-	// anti-entropy as the repair channel (Eventual only). The zero value —
-	// gossip disabled — keeps the stack bit-for-bit identical.
-	Gossip gossip.Options
 }
 
-// ReplicaStackWith is ReplicaStack with the optional layers spelled out —
-// notably ETOB's batching layer, which amortizes one update broadcast over k
-// queued commands (internal/etob's BatchOptions).
+// ReplicaStackWith builds the full automaton stack of ONE service replica
+// for a consistency level: the broadcast protocol (ETOB for Eventual, a
+// Paxos log for the strong variants) driving the replicated machine (nil =
+// KV store), optionally with ETOB's batching layer, which amortizes one
+// update broadcast over k queued commands, and optionally wrapped in the
+// retransmission layer (nil = bare). This is the single definition of "a
+// replica" shared by every way of running one — the deterministic kernel
+// (NewSimService), the in-process live cluster (NewLiveService), and the
+// deployable node (internal/node) all feed the SAME factory to their
+// runtime, which is what makes cross-runtime conformance (runtime.Replay)
+// meaningful.
+//
+// Note the stack does not choose the failure detector: StrongSigma replicas
+// additionally require a Σ oracle next to Ω, which only the simulator can
+// provide (see NewLiveService).
 func ReplicaStackWith(c Consistency, o StackOptions) model.AutomatonFactory {
 	if o.Machine == nil {
 		o.Machine = smr.KVFactory
@@ -166,13 +155,9 @@ func ReplicaStackWith(c Consistency, o StackOptions) model.AutomatonFactory {
 	var broadcast model.AutomatonFactory
 	switch c {
 	case Eventual, 0:
-		switch {
-		case o.Gossip.Enabled():
-			broadcast = etob.GossipFactory(o.Batch, o.Gossip)
-		case o.Batch.Enabled():
+		broadcast = etob.Factory()
+		if o.Batch.Enabled() {
 			broadcast = etob.BatchedFactory(o.Batch)
-		default:
-			broadcast = etob.Factory()
 		}
 	case Strong:
 		broadcast = consensus.LogFactory(consensus.MajorityQuorums)
@@ -350,7 +335,7 @@ func NewLiveService(n int, c Consistency, machine smr.MachineFactory, opts runti
 	}
 	rec := trace.NewRecorder(n)
 	opts.Observer = rec
-	cluster := runtime.NewCluster(n, ReplicaStack(c, machine, nil), opts)
+	cluster := runtime.NewCluster(n, ReplicaStackWith(c, StackOptions{Machine: machine}), opts)
 	return &LiveService{cluster: cluster, rec: rec}
 }
 

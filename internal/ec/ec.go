@@ -17,13 +17,15 @@
 //
 // The implementation is multivalued (values are strings); the paper notes the
 // binary→multivalued transformation is standard [Mostefaoui–Raynal–Tronel].
+// It is Algorithm 4 as written: every promote is one broadcast, with no
+// batching or relaying. New and Factory take proposals as inputs;
+// NewDriven and DrivenFactory close the propose/decide loop with a Driver.
 package ec
 
 import (
 	"fmt"
 
 	"repro/internal/fd"
-	"repro/internal/gossip"
 	"repro/internal/model"
 )
 
@@ -42,29 +44,11 @@ type Driver func(p model.ProcID, instance int) (value string, ok bool)
 // Automaton is the per-process automaton of Algorithm 4.
 type Automaton struct {
 	self model.ProcID
-	n    int
 
 	count    int                             // count_i: last instance invoked
 	received map[model.ProcID]map[int]string // received_i[j, ℓ]
 	decided  map[int]bool                    // instances already responded to
 	driver   Driver                          // optional auto-proposer
-	values   map[int]string                  // values this process proposed
-
-	// Promote batching (batch.go): inert unless batch.Enabled().
-	batch         BatchOptions
-	pending       []PromoteMsg
-	linger        int
-	flushes       int64
-	fullFlushes   int64 // flushes triggered by queue depth
-	lingerFlushes int64 // flushes forced by the linger timeout
-
-	// Gossip dissemination (gossip.go): inert unless gossip.Enabled().
-	gossip   gossip.Options
-	sampler  *gossip.Sampler
-	fresh    []GossipPromote // novel promotes awaiting one coalesced re-forward
-	freshAge int             // max incoming age among fresh (re-forward at +1)
-	aeTick   int             // ticks since the last anti-entropy exchange
-	gstats   GossipStats
 }
 
 var _ model.Automaton = (*Automaton)(nil)
@@ -74,10 +58,8 @@ var _ model.Automaton = (*Automaton)(nil)
 func New(p model.ProcID, n int) *Automaton {
 	return &Automaton{
 		self:     p,
-		n:        n,
 		received: make(map[model.ProcID]map[int]string, n),
 		decided:  make(map[int]bool),
-		values:   make(map[int]string),
 	}
 }
 
@@ -129,40 +111,15 @@ func (a *Automaton) propose(ctx model.Context, instance int, value string) {
 		panic(fmt.Sprintf("ec: proposeEC instance must be >= 1, got %d", instance))
 	}
 	a.count = instance
-	a.values[instance] = value
-	if a.gossip.Enabled() {
-		a.emitGossipPropose(ctx, instance, value)
-		return
-	}
-	if a.batch.Enabled() {
-		a.enqueuePromote(ctx, PromoteMsg{Value: value, Instance: instance})
-		return
-	}
 	ctx.Broadcast(PromoteMsg{Value: value, Instance: instance})
 }
 
 // Recv implements model.Automaton.
 func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
-	if g, ok := payload.(GossipPromoteMsg); ok {
-		a.recvGossipPromote(g)
-		return
-	}
-	if b, ok := payload.(PromoteBatchMsg); ok {
-		for _, m := range b.Msgs {
-			a.recvPromote(from, m)
-		}
-		return
-	}
 	m, ok := payload.(PromoteMsg)
 	if !ok {
 		return
 	}
-	a.recvPromote(from, m)
-}
-
-// recvPromote is the reception handler of one promote(v, ℓ), shared by the
-// raw and batched carriers.
-func (a *Automaton) recvPromote(from model.ProcID, m PromoteMsg) {
 	byInst := a.received[from]
 	if byInst == nil {
 		byInst = make(map[int]string)
@@ -175,15 +132,8 @@ func (a *Automaton) recvPromote(from model.ProcID, m PromoteMsg) {
 	}
 }
 
-// Tick implements model.Automaton: the "local timeout" of Algorithm 4. With
-// batching enabled, queued promotes flush (by linger) before the decide step.
+// Tick implements model.Automaton: the "local timeout" of Algorithm 4.
 func (a *Automaton) Tick(ctx model.Context) {
-	if a.batch.Enabled() {
-		a.tickBatch(ctx)
-	}
-	if a.gossip.Enabled() {
-		a.tickGossip(ctx)
-	}
 	if a.count == 0 || a.decided[a.count] {
 		return
 	}

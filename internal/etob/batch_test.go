@@ -137,7 +137,7 @@ func (t teeObserver) OnInput(p model.ProcID, tm model.Time, v any)   { t.a.OnInp
 func TestBatchIntraBatchCausality(t *testing.T) {
 	// Ops queued in one batch with nil deps must chain causally: the flush
 	// resolves op k's deps to the frontier AFTER op k-1's UpdateCG.
-	a := NewBatched(1, 2, BatchOptions{MaxBatch: 3})
+	a := newBatched(1, 2, BatchOptions{MaxBatch: 3})
 	ctx := &fakeCtx{}
 	a.Init(ctx)
 	a.Input(ctx, model.BroadcastInput{ID: "m1"})
@@ -163,7 +163,7 @@ func TestBatchIntraBatchCausality(t *testing.T) {
 func TestBatchLingerFlush(t *testing.T) {
 	// An op never waits more than MaxLinger ticks: a half-full batch flushes
 	// on the linger deadline.
-	a := NewBatched(1, 2, BatchOptions{MaxBatch: 8, MaxLinger: 2})
+	a := newBatched(1, 2, BatchOptions{MaxBatch: 8, MaxLinger: 2})
 	ctx := &fakeCtx{}
 	a.Init(ctx)
 	countUpdates := func() int {
@@ -190,7 +190,7 @@ func TestBatchLingerFlush(t *testing.T) {
 }
 
 func TestBatchDuplicateIDIgnored(t *testing.T) {
-	a := NewBatched(1, 2, BatchOptions{MaxBatch: 4})
+	a := newBatched(1, 2, BatchOptions{MaxBatch: 4})
 	ctx := &fakeCtx{}
 	a.Init(ctx)
 	a.Input(ctx, model.BroadcastInput{ID: "dup"})
@@ -208,7 +208,7 @@ func TestBatchDuplicateIDIgnored(t *testing.T) {
 func TestBatchAdaptiveAIMD(t *testing.T) {
 	// The controller climbs by one per full flush and halves on a linger
 	// flush that filled to under half the target.
-	a := NewBatched(1, 2, BatchOptions{Adaptive: true, MaxBatch: 8, MaxLinger: 1})
+	a := newBatched(1, 2, BatchOptions{Adaptive: true, MaxBatch: 8, MaxLinger: 1})
 	ctx := &fakeCtx{}
 	a.Init(ctx)
 	if a.target != 1 {
@@ -257,11 +257,18 @@ func TestBatchAdaptiveAIMD(t *testing.T) {
 }
 
 func TestBatchCommitComposition(t *testing.T) {
-	// The commit layer rides on the batched core: a batched CommitAutomaton
-	// cluster still commits every op.
+	// The commit layer sits entirely on the promote/ack side, so it does not
+	// depend on how updates leave the sender: a CommitAutomaton cluster over
+	// a batched core still commits every op. No constructor builds this
+	// stack; the test composes it to pin that independence.
 	fp := model.NewFailurePattern(3)
 	det := fd.NewOmegaStable(fp, 1)
-	k := sim.New(fp, det, CommitBatchedFactory(BatchOptions{MaxBatch: 3, MaxLinger: 2}), sim.Options{Seed: 21})
+	factory := func(p model.ProcID, n int) model.Automaton {
+		a := CommitFactory()(p, n).(*CommitAutomaton)
+		a.setBatch(BatchOptions{MaxBatch: 3, MaxLinger: 2})
+		return a
+	}
+	k := sim.New(fp, det, factory, sim.Options{Seed: 21})
 	for i := 0; i < 6; i++ {
 		for _, p := range model.Procs(3) {
 			k.ScheduleInput(p, model.Time(20+p), model.BroadcastInput{ID: fmt.Sprintf("c%d#%d", p, i)})
@@ -277,6 +284,13 @@ func TestBatchCommitComposition(t *testing.T) {
 			t.Errorf("%v commit stack never coalesced: %+v", p, st)
 		}
 	}
+}
+
+// newBatched returns one batched automaton for driving directly.
+func newBatched(p model.ProcID, n int, o BatchOptions) *Automaton {
+	a := New(p, n)
+	a.setBatch(o)
+	return a
 }
 
 // fakeCtx is a minimal model.Context for driving an automaton directly.

@@ -1,6 +1,8 @@
 package etob
 
 import (
+	"slices"
+
 	"repro/internal/fd"
 	"repro/internal/model"
 )
@@ -48,20 +50,18 @@ type CommitAutomaton struct {
 
 var _ model.Automaton = (*CommitAutomaton)(nil)
 
-// NewWithCommit returns the extended automaton for process p of n.
-func NewWithCommit(p model.ProcID, n int) *CommitAutomaton {
-	return &CommitAutomaton{
-		Automaton: New(p, n),
-		n:         n,
-		majority:  n/2 + 1,
-		ackedLen:  make(map[model.ProcID]int, n),
-		ackedFor:  make(map[model.ProcID]model.ProcID, n),
-	}
-}
-
-// CommitFactory adapts NewWithCommit to model.AutomatonFactory.
+// CommitFactory returns the factory of the extended automata; each builds
+// a *CommitAutomaton.
 func CommitFactory() model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton { return NewWithCommit(p, n) }
+	return func(p model.ProcID, n int) model.Automaton {
+		return &CommitAutomaton{
+			Automaton: New(p, n),
+			n:         n,
+			majority:  n/2 + 1,
+			ackedLen:  make(map[model.ProcID]int, n),
+			ackedFor:  make(map[model.ProcID]model.ProcID, n),
+		}
+	}
 }
 
 // Recv implements model.Automaton: handle acks, and acknowledge every
@@ -100,14 +100,8 @@ func (a *CommitAutomaton) maybeCommit(ctx model.Context) {
 		return
 	}
 	// The committed length is the majority'th largest acked length.
-	for i := 0; i < len(lens); i++ {
-		for j := i + 1; j < len(lens); j++ {
-			if lens[j] > lens[i] {
-				lens[i], lens[j] = lens[j], lens[i]
-			}
-		}
-	}
-	cand := lens[a.majority-1]
+	slices.Sort(lens)
+	cand := lens[len(lens)-a.majority]
 	if cand > len(a.d) {
 		cand = len(a.d) // we can only indicate what we have adopted ourselves
 	}

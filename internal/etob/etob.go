@@ -23,29 +23,35 @@
 //  3. TOB-Causal-Order holds at all times, even while Ω outputs different
 //     leaders at different processes.
 //
-// A batching layer (batch.go, BatchOptions) coalesces k pending
+// Constructors: New and Factory build Algorithm 5 as written;
+// BatchedFactory adds the batching layer, GossipFactory the gossip
+// dissemination mode, and CommitFactory the §7 committed-prefix
+// indications. The three extensions are separate configurations: no
+// constructor stacks two of them.
+//
+// The batching layer (batch.go, BatchOptions) coalesces k pending
 // broadcastETOB invocations into one update(CG_i) message — same wire
 // vocabulary, same receiver logic, ~k× fewer broadcasts — under a
 // max-batch-size + max-linger flush policy with an optional AIMD self-tuning
 // target; at k=1 it degenerates bit-for-bit to the unbatched automaton. See
 // the flush-policy contract in batch.go.
 //
-// A gossip dissemination mode (gossip.go, GossipFactory + gossip.Options)
+// The gossip dissemination mode (gossip.go, GossipFactory + gossip.Options)
 // replaces the all-to-all update(CG_i) broadcast for clusters with n in the
-// hundreds: a flush sends op deltas to a seeded sample of Fanout =
+// hundreds: a broadcast sends the op delta to a seeded sample of Fanout =
 // ceil(log2 n)+1 peers instead of n−1, receivers re-forward novel ops with
 // an age bound of ceil(log2 n) hops, and a digest-based anti-entropy
 // rotation repairs whatever the epidemic missed. Eventual delivery of every
 // op to every correct process is all ETOB needs — the spec's delivery
 // guarantees are themselves eventual, so a dissemination layer that
 // guarantees eventual receipt (rumors for the fast path, anti-entropy for
-// the tail) preserves Lemma 3 verbatim while cutting per-flush sender cost
-// from O(n) to O(log n). With gossip disabled the factory is bit-identical
-// to the plain path. See the layer contract in gossip.go.
+// the tail) preserves Lemma 3 verbatim while cutting per-broadcast sender
+// cost from O(n) to O(log n). See the layer contract in gossip.go.
 package etob
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/causal"
@@ -111,10 +117,11 @@ type Automaton struct {
 	onFlush func(ids []string)
 
 	// Gossip dissemination mode (gossip.go): epidemic forwarding of graph
-	// deltas instead of all-to-all update broadcasts. Inert — never touched —
-	// unless gossip.Enabled().
-	gossip   gossip.Options
+	// deltas instead of all-to-all update broadcasts. On iff sampler is set,
+	// which only GossipFactory does.
 	sampler  *gossip.Sampler
+	aeEvery  int        // ticks between anti-entropy digests
+	maxAge   int        // rumor age bound, gossip.MaxAge(n)
 	fresh    []GossipOp // novel ops awaiting one tick-coalesced re-forward
 	freshAge int        // max incoming age among fresh (re-forward at +1)
 	aeTick   int        // ticks since the last anti-entropy exchange
@@ -156,7 +163,7 @@ func (a *Automaton) Input(ctx model.Context, in any) {
 
 // BroadcastETOB invokes broadcastETOB(m, C(m)) programmatically (used by the
 // ETOB→EC transformation, which drives ETOB as a black box). With batching
-// enabled (SetBatch) the op is queued for a coalesced update instead — see
+// enabled (BatchedFactory) the op is queued for a coalesced update instead — see
 // the flush-policy contract in batch.go.
 func (a *Automaton) BroadcastETOB(ctx model.Context, id string, deps []string) {
 	if a.batch.Enabled() {
@@ -171,11 +178,11 @@ func (a *Automaton) BroadcastETOB(ctx model.Context, id string, deps []string) {
 		deps = a.frontier()
 	}
 	a.updateCG(id, deps)
-	if a.gossip.Enabled() {
+	if a.sampler != nil {
 		if explicit {
 			deps = append([]string(nil), deps...) // rumor outlives the step; callers may reuse their slice
 		}
-		a.emitGossip(ctx, []GossipOp{{ID: id, Deps: deps}})
+		a.emitGossip(ctx, GossipOp{ID: id, Deps: deps})
 	} else {
 		ctx.Broadcast(UpdateMsg{CG: a.cg.Clone()})
 	}
@@ -221,7 +228,7 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 			return // stale promote (links are not FIFO)
 		}
 		a.lastCtr[from] = m.Counter
-		if !equalSeq(a.d, m.Seq) {
+		if !slices.Equal(a.d, m.Seq) {
 			a.d = append(a.d[:0:0], m.Seq...)
 			ctx.Output(model.SeqSnapshot{Seq: a.d})
 		}
@@ -235,7 +242,7 @@ func (a *Automaton) Tick(ctx model.Context) {
 	if a.batch.Enabled() {
 		a.tickBatch(ctx)
 	}
-	if a.gossip.Enabled() {
+	if a.sampler != nil {
 		a.tickGossip(ctx)
 	}
 	leader, ok := fd.LeaderOf(ctx.FD())
@@ -302,15 +309,3 @@ func (a *Automaton) Promote() []string { return append([]string(nil), a.promote.
 
 // KnownMessages returns the number of messages in CG_i.
 func (a *Automaton) KnownMessages() int { return a.cg.Len() }
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

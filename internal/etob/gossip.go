@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the gossip dissemination mode of Algorithm 5: replacing the
-// "send update(CG_i) to all" of each flush with epidemic forwarding of graph
+// "send update(CG_i) to all" of each broadcast with epidemic forwarding of graph
 // DELTAS to a seeded O(log n) peer sample. Why this preserves ETOB:
 //
 //   - The protocol's obligations (§5, Lemma 3) only need every broadcast to
@@ -35,8 +35,8 @@ import (
 //     channel ships deltas, never the full O(ops + edges) graph the
 //     all-to-all mode broadcasts.
 //
-// Cost: a flush costs Fanout = ceil(log2 n)+1 envelopes instead of n−1, each
-// carrying only the flushed ops instead of the whole graph; forwarding is
+// Cost: a broadcast costs Fanout = ceil(log2 n)+1 envelopes instead of n−1,
+// each carrying only the new op instead of the whole graph; forwarding is
 // novelty-gated (only ops that were new to the forwarder travel on) and
 // tick-coalesced (one sample per tick, not per reception), and rumor aging
 // (MaxAge hops) bounds the epidemic phase at O(fanout · log n) envelopes per
@@ -48,12 +48,14 @@ import (
 // term — and promote adoption is guarded by "from the leader I trust", which
 // relayed copies would break.
 //
-// With gossip disabled (the zero gossip.Options), none of this code runs and
-// every trace is byte-identical to the pre-gossip automaton — pinned by the
-// golden tables and TestGossipOffByteIdentical.
+// Only GossipFactory turns this mode on; every other constructor leaves the
+// sampler unset, so none of this code runs and every trace is the plain
+// automaton's — pinned by the golden tables. Gossip and batching are
+// separate configurations: a gossip automaton sends each broadcast as its
+// own rumor, and the rumor forwarding coalesces per tick.
 
 // GossipOp is one broadcastETOB invocation as it travels inside a rumor:
-// the op and its resolved direct dependencies (deps resolve at flush, so a
+// the op and its resolved direct dependencies (deps resolve at broadcast, so a
 // rumor is self-describing and the receiver can check closure locally).
 type GossipOp struct {
 	ID   string
@@ -90,49 +92,33 @@ type GossipStats struct {
 	OpsDropped  int64
 }
 
-// SetGossip installs the gossip dissemination mode. Must be called before
-// the automaton takes its first step; the zero Options disables gossip.
-func (a *Automaton) SetGossip(o gossip.Options) {
-	if !o.Enabled() {
-		a.gossip = gossip.Options{}
-		a.sampler = nil
-		return
-	}
-	o = o.WithDefaults(a.n)
-	a.gossip = o
-	a.sampler = gossip.NewSampler(a.self, a.n, o)
+// setGossip installs the gossip dissemination mode. Must be called before
+// the automaton takes its first step.
+func (a *Automaton) setGossip(o gossip.Options) {
+	a.aeEvery = o.WithDefaults().AntiEntropyEvery
+	a.maxAge = gossip.MaxAge(a.n)
+	a.sampler = gossip.NewSampler(a.self, a.n, o.Seed)
 }
 
 // GossipStats returns the gossip layer's counters.
 func (a *Automaton) GossipStats() GossipStats { return a.gstats }
 
-// GossipFactory adapts New + SetGossip (and optionally SetBatch) to
-// model.AutomatonFactory.
-func GossipFactory(b BatchOptions, g gossip.Options) model.AutomatonFactory {
+// GossipFactory returns the factory of Algorithm 5 automata in the gossip
+// dissemination mode.
+func GossipFactory(g gossip.Options) model.AutomatonFactory {
 	return func(p model.ProcID, n int) model.Automaton {
 		a := New(p, n)
-		a.SetBatch(b)
-		a.SetGossip(g)
+		a.setGossip(g)
 		return a
 	}
 }
 
-// CommitGossipFactory is GossipFactory over the committed-prefix automaton.
-func CommitGossipFactory(b BatchOptions, g gossip.Options) model.AutomatonFactory {
-	return func(p model.ProcID, n int) model.Automaton {
-		a := NewWithCommit(p, n)
-		a.SetBatch(b)
-		a.SetGossip(g)
-		return a
-	}
-}
-
-// emitGossip disseminates freshly flushed ops as an age-0 rumor to a seeded
-// peer sample. It replaces the flush path's ctx.Broadcast(UpdateMsg) — and,
-// because gossip sends no self-copy, it extends promote_i locally (in
-// broadcast mode the sender's own update delivery did that).
-func (a *Automaton) emitGossip(ctx model.Context, ops []GossipOp) {
-	msg := GossipMsg{Ops: ops}
+// emitGossip disseminates a freshly broadcast op as an age-0 rumor to a
+// seeded peer sample. It replaces ctx.Broadcast(UpdateMsg) — and, because
+// gossip sends no self-copy, it extends promote_i locally (in broadcast mode
+// the sender's own update delivery did that).
+func (a *Automaton) emitGossip(ctx model.Context, op GossipOp) {
+	msg := GossipMsg{Ops: []GossipOp{op}}
 	for _, q := range a.sampler.Sample() {
 		ctx.Send(q, msg)
 	}
@@ -146,7 +132,7 @@ func (a *Automaton) emitGossip(ctx model.Context, ops []GossipOp) {
 // re-forward at Age+1 while the rumor is young enough.
 func (a *Automaton) recvGossip(m GossipMsg) {
 	novel := false
-	forward := m.Age+1 <= a.gossip.MaxAge
+	forward := m.Age+1 <= a.maxAge
 	for _, op := range m.Ops {
 		if a.cg.Has(op.ID) {
 			continue
@@ -192,7 +178,7 @@ func (a *Automaton) tickGossip(ctx model.Context) {
 		a.freshAge = 0
 	}
 	a.aeTick++
-	if a.aeTick >= a.gossip.AntiEntropyEvery {
+	if a.aeTick >= a.aeEvery {
 		a.aeTick = 0
 		if q, ok := a.sampler.NextPeer(); ok {
 			ids := a.cg.Nodes()
@@ -222,7 +208,7 @@ func (a *Automaton) recvDigest(ctx model.Context, from model.ProcID, m DigestMsg
 		}
 	}
 	if len(delta) > 0 {
-		ctx.Send(from, GossipMsg{Ops: delta, Age: a.gossip.MaxAge})
+		ctx.Send(from, GossipMsg{Ops: delta, Age: a.maxAge})
 		a.gstats.Repairs++
 	}
 }

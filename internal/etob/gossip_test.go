@@ -14,7 +14,7 @@ import (
 )
 
 func gossipPreset(seed int64) gossip.Options {
-	return gossip.Options{Enable: true, Seed: seed}
+	return gossip.Options{Seed: seed}
 }
 
 func runGossipETOB(t *testing.T, n, perProc int, g gossip.Options, horizon model.Time, seed int64) *trace.Recorder {
@@ -22,7 +22,7 @@ func runGossipETOB(t *testing.T, n, perProc int, g gossip.Options, horizon model
 	fp := model.NewFailurePattern(n)
 	det := fd.NewOmegaStable(fp, 1)
 	rec := trace.NewRecorder(n)
-	k := sim.New(fp, det, GossipFactory(BatchOptions{}, g), sim.Options{Seed: seed})
+	k := sim.New(fp, det, GossipFactory(g), sim.Options{Seed: seed})
 	k.SetObserver(rec)
 	scheduleBroadcasts(k, n, perProc, 20, 40)
 	k.Run(horizon)
@@ -55,7 +55,7 @@ func TestGossipCausalDeltasStayClosed(t *testing.T) {
 	fp := model.NewFailurePattern(n)
 	det := fd.NewOmegaStable(fp, 1)
 	rec := trace.NewRecorder(n)
-	k := sim.New(fp, det, GossipFactory(BatchOptions{}, gossipPreset(3)), sim.Options{Seed: 3})
+	k := sim.New(fp, det, GossipFactory(gossipPreset(3)), sim.Options{Seed: 3})
 	k.SetObserver(rec)
 	// A chain of dependent ops from one origin (Algorithm 5's precondition:
 	// C(m) ⊆ CG_i at the broadcaster — p1 has each parent locally). Distinct
@@ -119,12 +119,12 @@ func TestGossipFanoutBound(t *testing.T) {
 	fp := model.NewFailurePattern(n)
 	det := fd.NewOmegaStable(fp, 1)
 	obs := &gossipCountObs{}
-	k := sim.New(fp, det, GossipFactory(BatchOptions{}, gossipPreset(5)), sim.Options{Seed: 5})
+	k := sim.New(fp, det, GossipFactory(gossipPreset(5)), sim.Options{Seed: 5})
 	k.SetObserver(obs)
 	scheduleBroadcasts(k, n, perProc, 20, 40)
 	k.Run(12000)
 
-	wantFanout := gossip.Log2Ceil(n) + 1 // 7 at n=64
+	wantFanout := gossip.Fanout(n) // 7 at n=64
 	ops := n * perProc
 	var rumors, repairs int64
 	for _, p := range model.Procs(n) {
@@ -187,30 +187,13 @@ func gossipTrace(n, perProc int, factory model.AutomatonFactory, horizon model.T
 	return obs.events
 }
 
-// TestGossipOffByteIdentical: an automaton built through the gossip factory
-// with gossip DISABLED must produce the byte-identical event trace of the
-// plain automaton — the "gossip-off stays bit-identical" contract the golden
-// tables pin at suite level.
-func TestGossipOffByteIdentical(t *testing.T) {
-	plain := gossipTrace(5, 3, Factory(), 8000, 42)
-	off := gossipTrace(5, 3, GossipFactory(BatchOptions{}, gossip.Options{}), 8000, 42)
-	if len(plain) != len(off) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(plain), len(off))
-	}
-	for i := range plain {
-		if plain[i] != off[i] {
-			t.Fatalf("traces diverge at event %d:\n  plain: %s\n  off:   %s", i, plain[i], off[i])
-		}
-	}
-}
-
 // TestGossipTraceDeterminism20Seeds: at n=64, 20 seeds, the gossip preset
 // replays byte-identically — peer sampling, rumor coalescing, and
 // anti-entropy rotation are all pure functions of the seeds.
 func TestGossipTraceDeterminism20Seeds(t *testing.T) {
 	const n, perProc = 64, 1
 	for seed := int64(1); seed <= 20; seed++ {
-		factory := func() model.AutomatonFactory { return GossipFactory(BatchOptions{}, gossipPreset(seed)) }
+		factory := func() model.AutomatonFactory { return GossipFactory(gossipPreset(seed)) }
 		a := gossipTrace(n, perProc, factory(), 4000, seed)
 		b := gossipTrace(n, perProc, factory(), 4000, seed)
 		if len(a) != len(b) {
@@ -236,7 +219,7 @@ func TestGossipParallelMatchesSerial(t *testing.T) {
 	serial := make([][]string, workers)
 	for i := range serial {
 		seed := int64(i + 1)
-		serial[i] = gossipTrace(n, perProc, GossipFactory(BatchOptions{}, gossipPreset(seed)), 4000, seed)
+		serial[i] = gossipTrace(n, perProc, GossipFactory(gossipPreset(seed)), 4000, seed)
 	}
 	parallel := make([][]string, workers)
 	var wg sync.WaitGroup
@@ -245,7 +228,7 @@ func TestGossipParallelMatchesSerial(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			seed := int64(i + 1)
-			parallel[i] = gossipTrace(n, perProc, GossipFactory(BatchOptions{}, gossipPreset(seed)), 4000, seed)
+			parallel[i] = gossipTrace(n, perProc, GossipFactory(gossipPreset(seed)), 4000, seed)
 		}(i)
 	}
 	wg.Wait()

@@ -1,14 +1,14 @@
-// Package gossip provides the shared mechanics of epidemic dissemination for
-// the protocol automata: configuration (fanout, rumor aging, anti-entropy
-// cadence) and a deterministic per-process peer sampler.
+// Package gossip provides the mechanics of epidemic dissemination for ETOB's
+// gossip mode (internal/etob GossipFactory): configuration (anti-entropy
+// cadence and seed; fanout and rumor aging derived from n) and a
+// deterministic per-process peer sampler.
 //
-// Rationale (ROADMAP "Big-n scaling"): the paper's Algorithm 4 and 5 both
-// write "send to all", which costs n−1 envelopes per invocation — O(n²)
+// Rationale (ROADMAP "Big-n scaling"): the paper's Algorithm 5 writes "send
+// update(CG_i) to all", which costs n−1 envelopes per invocation — O(n²)
 // envelopes per protocol round systemwide, the first thing that breaks at
-// n in the hundreds. Both algorithms, however, only require that messages
-// EVENTUALLY reach every correct process (ETOB's update messages carry
-// monotone causality graphs, EC's promote values are write-once per
-// (origin, instance)): neither needs a physical all-to-all round. That is
+// n in the hundreds. The algorithm, however, only requires that updates
+// EVENTUALLY reach every correct process (they carry monotone causality
+// graphs): it needs no physical all-to-all round. That is
 // exactly the delivery guarantee epidemic protocols give: a rumor pushed to
 // O(log n) random peers per hop reaches all n processes in O(log n) hops
 // with high probability [cf. Demers et al., PODC 87; Aspnes, Notes on Theory
@@ -16,10 +16,10 @@
 // anti-entropy pass repairs the o(1) tail deterministically, turning "with
 // high probability" into "always, eventually".
 //
-// The package deliberately contains no protocol logic: each automaton owns
+// The package deliberately contains no protocol logic: the automaton owns
 // its rumor format and absorption rule (etob forwards dependency-closed
-// graph deltas, ec forwards origin-stamped promote values) and uses this
-// package only for WHO to send to and WHEN to stop forwarding.
+// graph deltas) and uses this package only for WHO to send to and WHEN to
+// stop forwarding.
 //
 // Determinism: each process draws peers from its own PRNG stream, seeded
 // from (Options.Seed, ProcID). The kernel steps automata in a reproducible
@@ -33,22 +33,11 @@ import (
 	"repro/internal/model"
 )
 
-// Options configures an automaton's gossip dissemination mode. The zero
-// value disables gossip: the automaton broadcasts exactly as the paper's
-// pseudocode writes, byte-identical to the pre-gossip implementation.
+// Options configures an automaton's gossip dissemination mode. Building the
+// automaton through its gossip factory is what turns the mode on; the
+// fanout and rumor age bound are derived from the system size (Fanout,
+// MaxAge).
 type Options struct {
-	// Enable switches dissemination from all-to-all broadcast to epidemic
-	// forwarding. All other fields are ignored while false.
-	Enable bool
-	// Fanout is the number of distinct peers each rumor emission is pushed
-	// to. 0 means ceil(log2 n) + 1 — the classical epidemic fanout that
-	// infects all n processes in O(log n) hops w.h.p.
-	Fanout int
-	// MaxAge is the rumor age bound: a rumor arriving with age a is
-	// re-forwarded at age a+1 only while a+1 <= MaxAge, after which it goes
-	// quiet and the anti-entropy pass owns its remaining spread. 0 means
-	// ceil(log2 n) hops.
-	MaxAge int
 	// AntiEntropyEvery is the number of local timeouts (ticks) between
 	// full-state exchanges with the next round-robin peer — the
 	// deterministic repair channel that upgrades the rumor phase's
@@ -60,25 +49,27 @@ type Options struct {
 	Seed int64
 }
 
-// Enabled reports whether gossip dissemination is on.
-func (o Options) Enabled() bool { return o.Enable }
-
-// WithDefaults resolves the zero fields against the system size.
-func (o Options) WithDefaults(n int) Options {
-	if o.Fanout <= 0 {
-		o.Fanout = Log2Ceil(n) + 1
-	}
-	if o.MaxAge <= 0 {
-		o.MaxAge = Log2Ceil(n)
-	}
+// WithDefaults resolves the zero fields.
+func (o Options) WithDefaults() Options {
 	if o.AntiEntropyEvery <= 0 {
 		o.AntiEntropyEvery = 4
 	}
 	return o
 }
 
-// Log2Ceil returns ceil(log2 n) for n >= 1 (0 for n <= 1).
-func Log2Ceil(n int) int {
+// Fanout is the number of distinct peers each rumor emission is pushed to
+// in a system of n processes: ceil(log2 n) + 1, the classical epidemic
+// fanout that infects all n processes in O(log n) hops w.h.p.
+func Fanout(n int) int { return log2Ceil(n) + 1 }
+
+// MaxAge is the rumor age bound in a system of n processes: a rumor
+// arriving with age a is re-forwarded at age a+1 only while a+1 <= MaxAge,
+// after which it goes quiet and the anti-entropy pass owns its remaining
+// spread. It is ceil(log2 n) hops.
+func MaxAge(n int) int { return log2Ceil(n) }
+
+// log2Ceil returns ceil(log2 n) for n >= 1 (0 for n <= 1).
+func log2Ceil(n int) int {
 	k, pow := 0, 1
 	for pow < n {
 		k++
@@ -93,13 +84,13 @@ type Sampler struct {
 	peers   []model.ProcID // every process except the owner, ascending
 	fanout  int
 	rng     *rand.Rand
-	rot     int              // anti-entropy round-robin cursor
-	scratch []model.ProcID   // reused by Sample
+	rot     int            // anti-entropy round-robin cursor
+	scratch []model.ProcID // reused by Sample
 }
 
-// NewSampler returns the sampler for process self of n under o (which must
-// already have defaults resolved).
-func NewSampler(self model.ProcID, n int, o Options) *Sampler {
+// NewSampler returns the sampler for process self of n, drawing Fanout(n)
+// peers per sample from a stream derived from seed.
+func NewSampler(self model.ProcID, n int, seed int64) *Sampler {
 	peers := make([]model.ProcID, 0, n-1)
 	for _, p := range model.Procs(n) {
 		if p != self {
@@ -108,8 +99,8 @@ func NewSampler(self model.ProcID, n int, o Options) *Sampler {
 	}
 	// Distinct stream per process: mix the ProcID into the seed with a large
 	// odd multiplier so adjacent seeds do not collide across processes.
-	src := rand.NewSource(o.Seed*0x9E3779B1 + int64(self))
-	return &Sampler{peers: peers, fanout: o.Fanout, rng: rand.New(src)}
+	src := rand.NewSource(seed*0x9E3779B1 + int64(self))
+	return &Sampler{peers: peers, fanout: Fanout(n), rng: rand.New(src)}
 }
 
 // Sample returns fanout distinct peers drawn from this process's stream (all
@@ -142,6 +133,3 @@ func (s *Sampler) NextPeer() (model.ProcID, bool) {
 	s.rot++
 	return p, true
 }
-
-// Fanout returns the resolved fanout (for reporting).
-func (s *Sampler) Fanout() int { return s.fanout }

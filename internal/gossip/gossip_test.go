@@ -9,23 +9,21 @@ import (
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 16: 4, 17: 5, 64: 6, 256: 8, 1000: 10}
 	for n, want := range cases {
-		if got := Log2Ceil(n); got != want {
-			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
+		if got := log2Ceil(n); got != want {
+			t.Errorf("log2Ceil(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
 
 func TestWithDefaults(t *testing.T) {
-	o := Options{Enable: true}.WithDefaults(256)
-	if o.Fanout != 9 || o.MaxAge != 8 || o.AntiEntropyEvery != 4 {
-		t.Errorf("defaults at n=256: %+v, want fanout 9, maxage 8, AE 4", o)
+	if f, a := Fanout(256), MaxAge(256); f != 9 || a != 8 {
+		t.Errorf("at n=256: fanout %d, max age %d, want 9 and 8", f, a)
 	}
-	custom := Options{Enable: true, Fanout: 3, MaxAge: 2, AntiEntropyEvery: 16}.WithDefaults(256)
-	if custom.Fanout != 3 || custom.MaxAge != 2 || custom.AntiEntropyEvery != 16 {
-		t.Errorf("explicit fields must survive WithDefaults: %+v", custom)
+	if o := (Options{}).WithDefaults(); o.AntiEntropyEvery != 4 {
+		t.Errorf("default anti-entropy period %d, want 4", o.AntiEntropyEvery)
 	}
-	if (Options{}).Enabled() {
-		t.Error("zero Options must be disabled")
+	if o := (Options{AntiEntropyEvery: 16}).WithDefaults(); o.AntiEntropyEvery != 16 {
+		t.Errorf("explicit anti-entropy period must survive WithDefaults: %+v", o)
 	}
 }
 
@@ -33,15 +31,14 @@ func TestWithDefaults(t *testing.T) {
 // stream; every sample holds fanout distinct peers, never the owner.
 func TestSamplerDeterministicDistinct(t *testing.T) {
 	const n = 64
-	o := Options{Enable: true, Seed: 7}.WithDefaults(n)
-	a := NewSampler(3, n, o)
-	b := NewSampler(3, n, o)
-	other := NewSampler(4, n, o)
+	a := NewSampler(3, n, 7)
+	b := NewSampler(3, n, 7)
+	other := NewSampler(4, n, 7)
 	diverged := false
 	for round := 0; round < 50; round++ {
 		sa, sb, so := a.Sample(), b.Sample(), other.Sample()
-		if len(sa) != o.Fanout {
-			t.Fatalf("round %d: sample size %d, want %d", round, len(sa), o.Fanout)
+		if len(sa) != Fanout(n) {
+			t.Fatalf("round %d: sample size %d, want %d", round, len(sa), Fanout(n))
 		}
 		seen := make(map[model.ProcID]bool, len(sa))
 		for i, p := range sa {
@@ -65,14 +62,14 @@ func TestSamplerDeterministicDistinct(t *testing.T) {
 	}
 }
 
-// TestSamplerSmallN: fanout >= n−1 degenerates to all peers, and n=1 has no
-// anti-entropy partner.
+// TestSamplerSmallN: fanout >= n−1 (Fanout(3) = 3) degenerates to all
+// peers, and n=1 has no anti-entropy partner.
 func TestSamplerSmallN(t *testing.T) {
-	s := NewSampler(1, 3, Options{Enable: true, Fanout: 10}.WithDefaults(3))
+	s := NewSampler(1, 3, 0)
 	if got := s.Sample(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("fanout >= n-1 must return all peers, got %v", got)
 	}
-	if _, ok := NewSampler(1, 1, Options{Enable: true}.WithDefaults(1)).NextPeer(); ok {
+	if _, ok := NewSampler(1, 1, 0).NextPeer(); ok {
 		t.Error("n=1 must have no anti-entropy partner")
 	}
 }
@@ -81,7 +78,7 @@ func TestSamplerSmallN(t *testing.T) {
 // property the eventual-delivery argument rests on.
 func TestNextPeerRoundRobin(t *testing.T) {
 	const n = 16
-	s := NewSampler(5, n, Options{Enable: true, Seed: 1}.WithDefaults(n))
+	s := NewSampler(5, n, 1)
 	seen := make(map[model.ProcID]int)
 	for i := 0; i < n-1; i++ {
 		p, ok := s.NextPeer()

@@ -1,6 +1,6 @@
 // Package node wraps one service replica as a deployable process: the same
 // automaton stack the simulator and the in-process cluster run
-// (core.ReplicaStack — retransmission, broadcast protocol, replicated
+// (core.ReplicaStackWith — retransmission, broadcast protocol, replicated
 // machine), driven by a runtime.Proc over a real TCP transport, fronted by a
 // small HTTP API for client operations and introspection.
 //
@@ -575,6 +575,11 @@ func (n *Node) Kill() {
 // handleUpdate accepts a command (query parameter "cmd", or the request body
 // when absent) and submits it to the replica. 202 means accepted for
 // replication, not yet applied — this is an eventually consistent service.
+// It is not a durability promise: until the command's update reaches a peer,
+// it exists only in this replica's memory (its event-loop queue, broadcast
+// layer, retransmit buffer or TCP writer), and a crash before then loses it.
+// A client that needs a write to survive the accepting replica waits until
+// another replica has applied it.
 func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

@@ -28,6 +28,10 @@ type cluster struct {
 	nodes   []*node.Node
 	peers   map[model.ProcID]string
 	cfgHook func(*node.Config) // optional per-node config mutation (chaos tests)
+	// held keeps each reserved transport port bound until its replica's
+	// first boot, so no other listener on :0 (an HTTP server, the front
+	// door) can take it in the meantime.
+	held map[model.ProcID]net.Listener
 }
 
 func newCluster(t *testing.T, n int) *cluster {
@@ -51,19 +55,16 @@ func newClusterWith(t *testing.T, n int, hook func(*node.Config)) *cluster {
 		t.Fatalf("front door: %v", err)
 	}
 	peers := make(map[model.ProcID]string, n)
-	var reserved []net.Listener
+	held := make(map[model.ProcID]net.Listener, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("reserve port: %v", err)
 		}
 		peers[model.ProcID(i+1)] = ln.Addr().String()
-		reserved = append(reserved, ln)
+		held[model.ProcID(i+1)] = ln
 	}
-	for _, ln := range reserved {
-		ln.Close()
-	}
-	c := &cluster{front: front, peers: peers, cfgHook: hook}
+	c := &cluster{front: front, peers: peers, cfgHook: hook, held: held}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, c.startNode(t, model.ProcID(i+1)))
 	}
@@ -73,6 +74,9 @@ func newClusterWith(t *testing.T, n int, hook func(*node.Config)) *cluster {
 				nd.Kill()
 			}
 		}
+		for _, ln := range c.held {
+			ln.Close()
+		}
 		front.Close()
 	})
 	return c
@@ -81,6 +85,10 @@ func newClusterWith(t *testing.T, n int, hook func(*node.Config)) *cluster {
 // startNode boots (or re-boots) replica p on its reserved transport address.
 func (c *cluster) startNode(t *testing.T, p model.ProcID) *node.Node {
 	t.Helper()
+	if ln := c.held[p]; ln != nil {
+		ln.Close()
+		delete(c.held, p)
+	}
 	var nd *node.Node
 	var err error
 	for attempt := 0; attempt < 100; attempt++ {
@@ -335,6 +343,12 @@ func TestKillRestartConvergesThroughFront(t *testing.T) {
 		}
 	}
 	phase("a", 20)
+	// A 202 is not durability: a write lives only in the accepting
+	// replica's memory until its update reaches a peer (see handleUpdate).
+	// Phase a must survive the crash, so let it replicate everywhere first;
+	// otherwise a write replica 2 accepted just before Kill is legitimately
+	// lost with it.
+	waitConverged(t, c.nodes, 20, want, 30*time.Second)
 
 	c.nodes[1].Kill() // replica 2 crashes; no deregistration
 	// Health probes must evict it.

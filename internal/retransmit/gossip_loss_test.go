@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/etob"
 	"repro/internal/fd"
 	"repro/internal/gossip"
 	"repro/internal/model"
@@ -29,11 +30,9 @@ func TestGossipEnvelopesRideRetransmission(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		fp := model.NewFailurePattern(n)
 		det := fd.NewOmegaStable(fp, 1)
-		factory := core.ReplicaStackWith(core.Eventual, core.StackOptions{
-			Machine:    smr.LogFactory,
-			Retransmit: &retransmit.Options{Seed: seed},
-			Gossip:     gossip.Options{Enable: true, Seed: seed},
-		})
+		factory := retransmit.Wrap(
+			smr.ReplicaFactory(etob.GossipFactory(gossip.Options{Seed: seed}), smr.LogFactory),
+			retransmit.Options{Seed: seed})
 		k := sim.New(fp, det, factory, sim.Options{
 			Seed:    seed,
 			Network: func() sim.NetworkModel { return &adversary.Lossy{Drop: 0.25} },

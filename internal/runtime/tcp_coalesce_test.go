@@ -57,7 +57,16 @@ func TestTCPWriterCoalescesQueuedFrames(t *testing.T) {
 		}
 	}
 
+	// The writer bumps its counters only after conn.Write returns, and the
+	// receiver can decode every frame before that happens. Wait, within the
+	// same 5 s bound a frame gets, until the counters account for the
+	// delivered frames.
+	deadline := time.Now().Add(5 * time.Second)
 	flushes, coalesced := ep1.Flushes(), ep1.Coalesced()
+	for flushes+coalesced < frames && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		flushes, coalesced = ep1.Flushes(), ep1.Coalesced()
+	}
 	if flushes+coalesced != frames {
 		t.Errorf("flushes (%d) + coalesced (%d) != %d delivered frames", flushes, coalesced, frames)
 	}

@@ -1,6 +1,8 @@
 package transform
 
 import (
+	"slices"
+
 	"repro/internal/model"
 )
 
@@ -108,7 +110,7 @@ func (a *ECToETOB) onInnerOutput(outer model.Context, v any) {
 		return // not a response to our pending invocation
 	}
 	d := decodeSeq(dec.Value)
-	if !equalSeq(a.d, d) {
+	if !slices.Equal(a.d, d) {
 		a.d = d
 		outer.Output(model.SeqSnapshot{Seq: a.d})
 	}
@@ -135,15 +137,3 @@ func (a *ECToETOB) newBatch() []string {
 
 // Delivered returns a copy of the current d_i (for inspection).
 func (a *ECToETOB) Delivered() []string { return append([]string(nil), a.d...) }
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
