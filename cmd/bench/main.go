@@ -11,13 +11,6 @@
 //	bench -quick                # smaller workloads
 //	bench -seed 7               # change the base seed
 //	bench -parallel 4           # worker-pool size (default GOMAXPROCS)
-//	bench -cell-timeout 2m      # abandon any cell that runs longer (a
-//	                            # divergent run cannot hang the table; the
-//	                            # cell's rows become a TIMEOUT marker)
-//	bench -shard 0/2            # run only this shard's cells (deterministic
-//	                            # partition for multi-machine sweeps; shards
-//	                            # 0/2 and 1/2 together cover every cell
-//	                            # exactly once)
 //	bench -repeat 5             # time every cell as the median of 5 runs
 //	                            # (rows are deterministic and printed once;
 //	                            # only the recorded timings steady; the
@@ -27,15 +20,6 @@
 //	bench -json BENCH_6.json -scaling 1,2,4,8
 //	                            # additionally rerun the suite per worker
 //	                            # count and record the wall-time scaling
-//	bench -json BENCH_6.json -latency
-//	                            # additionally run the open-loop latency
-//	                            # sweep (presets × batch configs) into the
-//	                            # report's "latency" section
-//	bench -latency-presets uniform,lossy
-//	                            # restrict the sweep's environment axis
-//	bench -json BENCH_6.json -latency-only
-//	                            # ONLY the latency sweep — skip the
-//	                            # experiment tables (CI latency smoke)
 //	bench -json BENCH_8.json -scalen 5,16,64,256
 //	                            # additionally run the En cluster-size sweep
 //	                            # (the same ETOB workload at each n, all-to-all
@@ -55,10 +39,10 @@
 // The -json report (schema "repro-bench/6", see internal/bench.Report)
 // records per-experiment wall time (median-of-(-repeat) per cell) with its
 // run-to-run spread, kernel steps/sec, the kernel and CHT microbenchmarks
-// (ns/op, allocs/op), the optional scaling sweep, the optional open-loop
-// latency sweep (p50/p99/p999 visibility and order-stability latency per
-// network preset × batch config; see internal/loadgen), and the optional
+// (ns/op, allocs/op), the optional scaling sweeps, and the optional
 // metrics-on/off overhead audit (see internal/bench.MetricsCompare).
+// Open-loop latency (visible and order-stable, sim and live) is measured by
+// the repository benchmark instead: see perfbench/README.md.
 // Progress notes for the extra passes go to stderr; stdout carries only the
 // tables.
 package main
@@ -86,15 +70,10 @@ func run() int {
 	quick := flag.Bool("quick", false, "smaller workloads")
 	seed := flag.Int64("seed", 42, "base PRNG seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker-pool size (1 = serial, <=0 = GOMAXPROCS)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell execution bound; a cell exceeding it is abandoned with a TIMEOUT row (0 = unbounded)")
-	shard := flag.String("shard", "", "run only shard i of n cells, as \"i/n\" (deterministic partition for multi-machine sweeps)")
 	repeat := flag.Int("repeat", 1, "run every cell N times and record the median cell time (tames single-core noise)")
 	jsonPath := flag.String("json", "", "write a machine-readable report (BENCH_<n>.json) to this path")
 	scaling := flag.String("scaling", "", "comma-separated worker counts to sweep for the -json scaling section, e.g. 1,2,8")
 	scaleN := flag.String("scalen", "", "comma-separated cluster sizes for the -json scaling_n section (En experiment), e.g. 5,16,64,256")
-	latency := flag.Bool("latency", false, "run the open-loop latency sweep into the -json report's latency section")
-	latencyPresets := flag.String("latency-presets", "", "comma-separated network presets for the latency sweep (default uniform,lossy,hostile)")
-	latencyOnly := flag.Bool("latency-only", false, "run ONLY the latency sweep, skipping the experiment tables (implies -latency; requires -json)")
 	metrics := flag.Bool("metrics", false, "rerun the suite with the obs metrics registry on and record the overhead comparison in the -json report's metrics section")
 	profileKind := flag.String("profile", "", "write a pprof profile of the experiment run: cpu or mem")
 	profileDir := flag.String("profile-dir", ".", "directory for -profile output (cpu.pprof / mem.pprof)")
@@ -105,21 +84,8 @@ func run() int {
 	if *exp != "" {
 		ids = []string{*exp}
 	}
-	sh, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 2
-	}
-	if sh.Count > 1 {
-		fmt.Fprintf(os.Stderr, "bench: running shard %d/%d (tables are partial; reassemble with the other shards)\n", sh.Index, sh.Count)
-	}
-	wantLatency := *latency || *latencyOnly
-	if *jsonPath == "" && (*scaling != "" || *scaleN != "" || wantLatency || *metrics) {
-		fmt.Fprintln(os.Stderr, "bench: -scaling/-scalen/-latency/-metrics require -json")
-		return 2
-	}
-	if *metrics && *latencyOnly {
-		fmt.Fprintln(os.Stderr, "bench: -metrics needs the experiment tables; drop -latency-only")
+	if *jsonPath == "" && (*scaling != "" || *scaleN != "" || *metrics) {
+		fmt.Fprintln(os.Stderr, "bench: -scaling/-scalen/-metrics require -json")
 		return 2
 	}
 	stopProfile, err := startProfile(*profileKind, *profileDir)
@@ -133,15 +99,12 @@ func run() int {
 		}
 	}()
 
-	runner := bench.Runner{Opts: opts, Parallel: *parallel, CellTimeout: *cellTimeout, Shard: sh, Repeat: *repeat}
+	runner := bench.Runner{Opts: opts, Parallel: *parallel, Repeat: *repeat}
 	start := time.Now()
-	var results []bench.Result
-	if !*latencyOnly {
-		results, err = runner.Run(ids)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err) // the registry error already names the valid IDs
-			return 2
-		}
+	results, err := runner.Run(ids)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err) // the registry error already names the valid IDs
+		return 2
 	}
 	wall := time.Since(start)
 	for i, r := range results {
@@ -180,21 +143,6 @@ func run() int {
 				r.N, r.Mode, r.SendFanout, r.EnvPerOp, r.BytesPerProc, r.StepsPerSec, r.DeliveredPct)
 		}
 	}
-	if wantLatency {
-		var presets []string
-		if *latencyPresets != "" {
-			for _, p := range strings.Split(*latencyPresets, ",") {
-				presets = append(presets, strings.TrimSpace(p))
-			}
-		}
-		fmt.Fprintln(os.Stderr, "bench: running open-loop latency sweep")
-		lat, err := bench.LatencySweep(*quick, *seed, presets)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		report.Latency = lat
-	}
 	if *metrics {
 		fmt.Fprintln(os.Stderr, "bench: running metrics-on/off overhead comparison")
 		mres, err := bench.MetricsCompare(runner, ids)
@@ -204,10 +152,8 @@ func run() int {
 		}
 		report.AddMetrics(mres)
 	}
-	if !*latencyOnly {
-		fmt.Fprintln(os.Stderr, "bench: running kernel microbenchmarks")
-		report.Micro = bench.Microbenchmarks(*quick)
-	}
+	fmt.Fprintln(os.Stderr, "bench: running kernel microbenchmarks")
+	report.Micro = bench.Microbenchmarks(*quick)
 	if err := report.WriteFile(*jsonPath); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		return 1
@@ -254,23 +200,6 @@ func startProfile(kind, dir string) (func() error, error) {
 	}
 }
 
-// parseShard parses the -shard "i/n" syntax; empty means no sharding.
-func parseShard(spec string) (bench.Shard, error) {
-	if spec == "" {
-		return bench.Shard{}, nil
-	}
-	parts := strings.SplitN(spec, "/", 2)
-	if len(parts) != 2 {
-		return bench.Shard{}, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/2)", spec)
-	}
-	i, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-	n, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
-		return bench.Shard{}, fmt.Errorf("bad -shard %q (want i/n with 0 <= i < n)", spec)
-	}
-	return bench.Shard{Index: i, Count: n}, nil
-}
-
 // scalingSweep reruns the selected experiments once per worker count and
 // measures the suite wall time.
 func scalingSweep(base bench.Runner, ids []string, spec string) ([]bench.ScalingPoint, error) {
@@ -281,8 +210,8 @@ func scalingSweep(base bench.Runner, ids []string, spec string) ([]bench.Scaling
 			return nil, fmt.Errorf("bad -scaling entry %q (want positive integers)", s)
 		}
 		fmt.Fprintf(os.Stderr, "bench: scaling sweep with %d workers\n", w)
-		// Deliberately not inheriting Repeat (or CellTimeout/Shard): a scaling
-		// point records one wall time, so repetitions would only multiply work.
+		// Deliberately not inheriting Repeat: a scaling point records one
+		// wall time, so repetitions would only multiply work.
 		r := bench.Runner{Opts: base.Opts, Parallel: w}
 		start := time.Now()
 		if _, err := r.Run(ids); err != nil {

@@ -59,16 +59,13 @@
 // First(ℓ) poll resumes its scan instead of re-decoding the sequence per
 // tick. On top of it, internal/bench decomposes every experiment into
 // independent seeded cells and fans them across a bounded worker pool
-// (cmd/bench -parallel) with per-cell timeout isolation (-cell-timeout),
-// deterministic cell sharding for multi-machine sweeps (-shard i/n), and
-// median-of-N cell timing (-repeat N) to tame single-core noise, with
-// rows reassembled deterministically so parallel output is byte-identical
-// to serial; cmd/bench -json writes a machine-readable BENCH_<n>.json
-// (schema repro-bench/6: per-experiment wall time with its run-to-run
-// spread, kernel steps/sec, microbenchmark ns/op and allocs/op, optional
-// worker-scaling sweep, optional open-loop latency sweep, optional
-// metrics-on/off overhead audit, optional cluster-size scaling sweep)
-// tracking the perf trajectory.
+// (cmd/bench -parallel) with median-of-N cell timing (-repeat N) to tame
+// single-core noise, with rows reassembled deterministically so parallel
+// output is byte-identical to serial; cmd/bench -json writes a
+// machine-readable BENCH_<n>.json (schema repro-bench/6: per-experiment wall
+// time with its run-to-run spread, kernel steps/sec, microbenchmark ns/op and
+// allocs/op, optional worker-scaling sweep, optional metrics-on/off overhead
+// audit, optional cluster-size scaling sweep) tracking the perf trajectory.
 //
 // Cluster size n is a first-class scaling axis. The ETOB layer has a gossip
 // dissemination mode (etob.GossipFactory, gossip.Options, shared peer
@@ -82,23 +79,20 @@
 // one promote broadcast per proposal.
 // Underneath, the kernel applies broadcasts as one batched heap entry per
 // send expanded at pop instead of n immediate inserts, fd.Cached bounds memo
-// state with a per-process LRU over segments, and the CT/Paxos/ABD quorum
+// state with a per-process LRU over segments, and the Paxos/ABD quorum
 // layers count thresholds at insert instead of rescanning their maps per
 // delivery. cmd/bench -scalen runs the En experiment — the same workload at
 // n in {5..256}, gossip vs all-to-all columns, steps/sec and bytes/proc —
-// into the report's "scaling_n" section. The broadcast layers batch under load: etob.BatchOptions
-// coalesces k pending ops into one update(CG) broadcast (flush on depth k or
-// a linger deadline; k=1 is bit-for-bit the historical path) with an optional
-// AIMD controller that grows the window under queue pressure and halves it
-// when linger-forced flushes run light (etob.BatchedFactory, or
-// core.StackOptions.Batch for a whole replica stack). internal/loadgen is the
-// open-loop harness that measures what batching buys: seeded Poisson arrivals
-// over many client sessions into the kernel (or a live cluster), recording
-// submit→visible-at-every-correct-process and submit→order-stable latency
-// per op into fixed-footprint log-bucketed histograms — p50/p99/p999 per
-// network preset × batch config land in the report's "latency" section
-// (cmd/bench -latency), and cmd/bench -profile cpu|mem captures pprof
-// profiles of any run.
+// into the report's "scaling_n" section, and cmd/bench -profile cpu|mem
+// captures pprof profiles of any run. The broadcast layers batch under load:
+// etob.BatchOptions coalesces k pending ops into one update(CG) broadcast
+// (flush on depth k or at the next local timeout; k=1 is bit-for-bit the
+// historical path; etob.BatchedFactory, or core.StackOptions.Batch for a
+// whole replica stack). What batching and the rest of the stack cost end to
+// end is measured by the repository benchmark (perfbench/README.md): seeded
+// open-loop Poisson load over many client sessions, on the kernel and on a
+// live TCP cluster, reporting submit→visible and submit→order-stable latency
+// with a per-layer cost split.
 //
 // The service plane makes the paper's replicated service deployable: the
 // live runtime's plumbing is abstracted behind runtime.Transport (in-process

@@ -83,7 +83,7 @@ func All(opts Options) []Table {
 	return out
 }
 
-// ByID runs the experiment with the given ID (case-insensitive, "e1".."e9").
+// ByID runs the experiment with the given ID (case-insensitive, "e1".."e14").
 func ByID(id string, opts Options) (Table, bool) {
 	for _, e := range registry {
 		if strings.EqualFold(e.id, id) {

@@ -24,15 +24,11 @@ import (
 // "within_spread" reports whether the delta sits inside the run's own
 // repeat-to-repeat spread plus a 0.5ms noise floor — the registry's
 // zero-hot-path-cost contract, measured. Absent when the comparison was not
-// requested. Rev 4 added the optional "latency" section: the
-// open-loop load sweep (internal/loadgen) crossing network presets with
-// broadcast-batching configurations, recording p50/p99/p999 visibility and
-// order-stability latency in kernel ticks plus messages sent and allocs/op
-// per cell; absent when the sweep was not requested, and the rest of the
-// report reads exactly like schema 3. Rev 3 added "spread_ms": the summed
-// per-cell time spread (max − min across the -repeat samples), so a reader
-// can judge how noisy the medians in "cell_ms" are; it is 0 when "repeat" is
-// 1. Rev 2 added "repeat": per-cell times are the median of that many
+// requested. Rev 4 added an optional "latency" section that is no longer
+// written (perfbench/ measures open-loop latency). Rev 3 added "spread_ms":
+// the summed per-cell time spread (max − min across the -repeat samples), so
+// a reader can judge how noisy the medians in "cell_ms" are; it is 0 when
+// "repeat" is 1. Rev 2 added "repeat": per-cell times are the median of that many
 // repetitions, taming single-core scheduling noise):
 //
 //	{
@@ -62,12 +58,6 @@ import (
 //	  "micro": [                   // kernel microbenchmarks (see Microbenchmarks)
 //	    {"name": "kernel/uniform", "iters": 30,
 //	     "ns_per_op": 590000, "allocs_per_op": 172}, ...],
-//	  "latency": [                 // optional open-loop load sweep (see LatencySweep)
-//	    {"preset": "uniform", "batch": "k=8", "ops": 20000, "resolved": 20000,
-//	     "visible_p50": 33, "visible_p99": 49, "visible_p999": 57,
-//	     "stable_p50": 33, "stable_p99": 49, "stable_p999": 57,
-//	     "messages_sent": 123456, "ops_per_sec": 250000,
-//	     "steps_per_sec": 800000, "allocs_per_op": 90, "wall_ms": 80.0}, ...],
 //	  "metrics": [                 // optional metrics-on/off overhead audit (MetricsCompare)
 //	    {"id": "E1", "off_ms": 456.7, "on_ms": 458.1, "delta_ms": 1.4,
 //	     "spread_ms": 12.3, "within_spread": true}, ...]
@@ -84,7 +74,6 @@ type Report struct {
 	ScalingN    []ScalingNResult `json:"scaling_n,omitempty"`
 	Scaling     []ScalingPoint   `json:"scaling,omitempty"`
 	Micro       []MicroResult    `json:"micro,omitempty"`
-	Latency     []LatencyResult  `json:"latency,omitempty"`
 	Metrics     []MetricsResult  `json:"metrics,omitempty"`
 }
 
@@ -106,8 +95,9 @@ type ScalingPoint struct {
 }
 
 // NewReport assembles a Report from a Runner's results and the measured wall
-// time of the run. repeat is the Runner.Repeat the results were timed with
-// (values <= 1 normalize to 1).
+// time of the run. parallel and repeat are the Runner.Parallel and
+// Runner.Repeat the results were timed with, normalized the way Run reads
+// them (parallel <= 0 to GOMAXPROCS, repeat <= 1 to 1).
 func NewReport(opts Options, parallel, repeat int, results []Result, wall time.Duration) *Report {
 	if repeat < 1 {
 		repeat = 1
@@ -116,7 +106,7 @@ func NewReport(opts Options, parallel, repeat int, results []Result, wall time.D
 		Schema:     "repro-bench/6",
 		Seed:       opts.seed(),
 		Quick:      opts.Quick,
-		Parallel:   parallel,
+		Parallel:   workers(parallel),
 		Repeat:     repeat,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		WallMS:     ms(wall),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,9 @@ func TestRunnerRepeatIdenticalRows(t *testing.T) {
 	}
 	if rep := NewReport(opts, 2, 0, once, 0); rep.Repeat != 1 {
 		t.Errorf("repeat <= 1 must normalize to 1, got %d", rep.Repeat)
+	}
+	if rep := NewReport(opts, 0, 1, once, 0); rep.Parallel != runtime.GOMAXPROCS(0) {
+		t.Errorf("parallel <= 0 must record the GOMAXPROCS workers Run uses, got %d", rep.Parallel)
 	}
 	// The spread column: repeated runs must carry a non-negative spread per
 	// experiment, single-shot runs exactly zero (nothing to spread over).

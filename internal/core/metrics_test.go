@@ -22,7 +22,7 @@ func lossyBatchedService(seed int64) *SimService {
 	return NewSimService(Config{
 		N:          3,
 		Retransmit: true,
-		Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
+		Batch:      etob.BatchOptions{MaxBatch: 4},
 		Sim:        o,
 	})
 }
@@ -147,7 +147,7 @@ func benchServiceRun(b *testing.B, metrics bool) {
 		svc := NewSimService(Config{
 			N:          3,
 			Retransmit: true,
-			Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
+			Batch:      etob.BatchOptions{MaxBatch: 4},
 			Sim:        simSeed(17),
 		})
 		var reg *obs.Registry

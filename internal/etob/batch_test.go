@@ -50,7 +50,7 @@ func TestBatchK1TraceIdentity(t *testing.T) {
 	// event stream identical to the unbatched automaton's, event for event.
 	fp := model.NewFailurePattern(3)
 	base := runLogged(fp, Factory(), 9)
-	for _, o := range []BatchOptions{{}, {MaxBatch: 1}, {MaxBatch: 1, MaxLinger: 5}} {
+	for _, o := range []BatchOptions{{}, {MaxBatch: 1}} {
 		got := runLogged(model.NewFailurePattern(3), BatchedFactory(o), 9)
 		if len(got.lines) != len(base.lines) {
 			t.Fatalf("%+v: %d events vs %d unbatched", o, len(got.lines), len(base.lines))
@@ -71,7 +71,7 @@ func TestBatchCoalescesAndStaysConformant(t *testing.T) {
 	det := fd.NewOmegaStable(fp, 1)
 	log := &eventLog{}
 	rec := trace.NewRecorder(3)
-	k := sim.New(fp, det, BatchedFactory(BatchOptions{MaxBatch: 4, MaxLinger: 2}), sim.Options{Seed: 9})
+	k := sim.New(fp, det, BatchedFactory(BatchOptions{MaxBatch: 4}), sim.Options{Seed: 9})
 	k.SetObserver(teeObserver{log, rec})
 	// Burst submissions: 5 ops per process at the SAME tick so batches fill.
 	for i := 0; i < 5; i++ {
@@ -161,9 +161,9 @@ func TestBatchIntraBatchCausality(t *testing.T) {
 }
 
 func TestBatchLingerFlush(t *testing.T) {
-	// An op never waits more than MaxLinger ticks: a half-full batch flushes
-	// on the linger deadline.
-	a := newBatched(1, 2, BatchOptions{MaxBatch: 8, MaxLinger: 2})
+	// An op never waits more than one tick: a half-full batch flushes on the
+	// next local timeout.
+	a := newBatched(1, 2, BatchOptions{MaxBatch: 8})
 	ctx := &fakeCtx{}
 	a.Init(ctx)
 	countUpdates := func() int {
@@ -176,16 +176,22 @@ func TestBatchLingerFlush(t *testing.T) {
 		return n
 	}
 	a.Input(ctx, model.BroadcastInput{ID: "solo"})
-	a.Tick(ctx) // linger 1 (the leader's PromoteMsg broadcasts don't count)
-	if countUpdates() != 0 {
-		t.Fatalf("flushed after 1 tick with MaxLinger=2")
+	if countUpdates() != 0 || a.cg.Has("solo") {
+		t.Fatal("a half-full batch flushed before any tick")
 	}
-	a.Tick(ctx) // linger 2 → flush
+	a.Tick(ctx) // linger deadline → flush (the leader's PromoteMsg broadcasts don't count)
 	if !a.cg.Has("solo") {
 		t.Fatal("linger deadline passed but the op never flushed")
 	}
 	if countUpdates() != 1 {
 		t.Fatalf("%d UpdateMsg broadcasts after the linger flush, want 1", countUpdates())
+	}
+	if st := a.BatchStats(); st.LingerFlushes != 1 || st.FullFlushes != 0 || st.Queued != 0 {
+		t.Fatalf("linger flush miscounted: %+v", st)
+	}
+	a.Tick(ctx) // nothing queued: no further update
+	if countUpdates() != 1 {
+		t.Fatalf("%d UpdateMsg broadcasts after an idle tick, want 1", countUpdates())
 	}
 }
 
@@ -205,57 +211,6 @@ func TestBatchDuplicateIDIgnored(t *testing.T) {
 	}
 }
 
-func TestBatchAdaptiveAIMD(t *testing.T) {
-	// The controller climbs by one per full flush and halves on a linger
-	// flush that filled to under half the target.
-	a := newBatched(1, 2, BatchOptions{Adaptive: true, MaxBatch: 8, MaxLinger: 1})
-	ctx := &fakeCtx{}
-	a.Init(ctx)
-	if a.target != 1 {
-		t.Fatalf("adaptive target starts at %d, want 1", a.target)
-	}
-	// Sustained pressure: submit until the window fills and flushes (the
-	// flush empties the queue, so each fill ends on a full flush exactly).
-	next := 0
-	fill := func() {
-		start := a.flushes
-		for a.flushes == start {
-			next++
-			a.Input(ctx, model.BroadcastInput{ID: fmt.Sprintf("m%d", next)})
-		}
-	}
-	for i := 0; i < 4; i++ {
-		fill() // full flush → +1
-	}
-	if a.target != 5 {
-		t.Fatalf("after 4 full flushes target = %d, want 5", a.target)
-	}
-	for i := 0; i < 10; i++ {
-		fill()
-	}
-	if a.target != 8 {
-		t.Fatalf("target %d exceeded or never reached the MaxBatch cap 8", a.target)
-	}
-	// Starvation: one lone op lingers out at 1 < 8/2 → halve.
-	next++
-	a.Input(ctx, model.BroadcastInput{ID: fmt.Sprintf("m%d", next)})
-	a.Tick(ctx)
-	if a.target != 4 {
-		t.Fatalf("after a starved linger flush target = %d, want 4", a.target)
-	}
-	// Repeated starvation settles at 2: halving needs the flush to fill to
-	// UNDER half the target, and 1 op is exactly half of 2 — batching stays
-	// armed instead of disabling itself.
-	for i := 0; i < 6; i++ {
-		next++
-		a.Input(ctx, model.BroadcastInput{ID: fmt.Sprintf("m%d", next)})
-		a.Tick(ctx)
-	}
-	if a.target != 2 {
-		t.Fatalf("repeated starvation target = %d, want 2", a.target)
-	}
-}
-
 func TestBatchCommitComposition(t *testing.T) {
 	// The commit layer sits entirely on the promote/ack side, so it does not
 	// depend on how updates leave the sender: a CommitAutomaton cluster over
@@ -265,7 +220,7 @@ func TestBatchCommitComposition(t *testing.T) {
 	det := fd.NewOmegaStable(fp, 1)
 	factory := func(p model.ProcID, n int) model.Automaton {
 		a := CommitFactory()(p, n).(*CommitAutomaton)
-		a.setBatch(BatchOptions{MaxBatch: 3, MaxLinger: 2})
+		a.setBatch(BatchOptions{MaxBatch: 3})
 		return a
 	}
 	k := sim.New(fp, det, factory, sim.Options{Seed: 21})

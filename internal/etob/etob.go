@@ -32,9 +32,9 @@
 // The batching layer (batch.go, BatchOptions) coalesces k pending
 // broadcastETOB invocations into one update(CG_i) message — same wire
 // vocabulary, same receiver logic, ~k× fewer broadcasts — under a
-// max-batch-size + max-linger flush policy with an optional AIMD self-tuning
-// target; at k=1 it degenerates bit-for-bit to the unbatched automaton. See
-// the flush-policy contract in batch.go.
+// max-batch-size + one-tick-linger flush policy; at k=1 it degenerates
+// bit-for-bit to the unbatched automaton. See the flush-policy contract in
+// batch.go.
 //
 // The gossip dissemination mode (gossip.go, GossipFactory + gossip.Options)
 // replaces the all-to-all update(CG_i) broadcast for clusters with n in the
@@ -104,8 +104,6 @@ type Automaton struct {
 	// batch.Enabled().
 	batch         BatchOptions
 	pending       []pendingOp
-	linger        int   // ticks the oldest queued op has waited
-	target        int   // current batch-size target (fixed or adaptive)
 	flushes       int64 // update broadcasts emitted by the batch layer
 	fullFlushes   int64 // flushes triggered by queue depth
 	lingerFlushes int64 // flushes forced by the linger timeout
@@ -236,11 +234,11 @@ func (a *Automaton) Recv(ctx model.Context, from model.ProcID, payload any) {
 }
 
 // Tick implements model.Automaton: the "local timeout" of Algorithm 5. With
-// batching enabled, the linger half of the flush policy runs first, so a
-// leader flushes its own queued ops before promoting.
+// batching enabled, the linger half of the flush policy runs first — any
+// queued ops flush — so a leader flushes its own queued ops before promoting.
 func (a *Automaton) Tick(ctx model.Context) {
 	if a.batch.Enabled() {
-		a.tickBatch(ctx)
+		a.flush(ctx, false)
 	}
 	if a.sampler != nil {
 		a.tickGossip(ctx)

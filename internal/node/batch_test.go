@@ -16,7 +16,7 @@ import (
 // /status surfaces the batching and transport-coalescing counters.
 func TestBatchedClusterConvergesAndReportsStats(t *testing.T) {
 	c := newClusterWith(t, 3, func(cfg *node.Config) {
-		cfg.Batch = etob.BatchOptions{MaxBatch: 8, MaxLinger: 2}
+		cfg.Batch = etob.BatchOptions{MaxBatch: 8}
 	})
 	waitHealthy(t, c, 3, 10*time.Second)
 

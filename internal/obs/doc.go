@@ -1,14 +1,14 @@
 // Package obs is the repo's observability plane: a dependency-free metrics
-// registry (atomic counters, gauges, and the HDR-style log-bucketed Histogram
-// extracted from internal/loadgen), a Prometheus text exposition served at
-// GET /metrics, and a bounded-ring op-lifecycle tracer served at GET /trace.
+// registry (atomic counters, gauges, and an HDR-style log-bucketed
+// Histogram), a Prometheus text exposition served at GET /metrics, and a
+// bounded-ring op-lifecycle tracer served at GET /trace.
 //
 // The paper's guarantees are all eventual — ETOB-Stability and EC-Agreement
 // hold "for some τ" — so operating the system means WATCHING τ converge, not
 // just asserting it post-hoc in internal/trace: retransmit pendings draining
 // after a partition heals, Ω flap counts settling after churn, batch depth
-// adapting to load. This package is the mechanism; internal/core wires it to
-// the protocol stack, internal/node and internal/lb mount the endpoints.
+// under load. This package is the mechanism; internal/core wires it to the
+// protocol stack, internal/node and internal/lb mount the endpoints.
 //
 // # Naming conventions
 //

@@ -32,7 +32,7 @@ func TestBatchedExactlyOnceUnderBurstyLoss(t *testing.T) {
 		factory := core.ReplicaStackWith(core.Eventual, core.StackOptions{
 			Machine:    smr.LogFactory,
 			Retransmit: &retransmit.Options{Seed: seed},
-			Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
+			Batch:      etob.BatchOptions{MaxBatch: 4},
 		})
 		// Receiver p3 loses a window mid-stream: automaton rebuilt from the
 		// factory at t=1800, all retransmit/ETOB/machine state gone.

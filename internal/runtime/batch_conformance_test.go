@@ -19,15 +19,15 @@ import (
 // oracle: the full Eventual stack with ETOB batching enabled (k>1) runs live
 // over TCP with every step recorded, then the StepLog replays through fresh
 // automata from the same batched factory — identical emissions at every step.
-// Batching adds sender-local state (the pending queue, the linger clock) that
-// the oracle would expose immediately if it ever made a flush decision from
-// anything outside the recorded step schedule.
+// Batching adds sender-local state (the pending queue) that the oracle would
+// expose immediately if it ever made a flush decision from anything outside
+// the recorded step schedule.
 func TestTCPBatchedTraceConformance(t *testing.T) {
 	const n, updates = 3, 18
 	log := &trace.StepLog{}
 	factory := core.ReplicaStackWith(core.Eventual, core.StackOptions{
 		Retransmit: &retransmit.Options{Seed: 7},
-		Batch:      etob.BatchOptions{MaxBatch: 4, MaxLinger: 2},
+		Batch:      etob.BatchOptions{MaxBatch: 4},
 	})
 
 	peers := make(map[model.ProcID]string, n)
